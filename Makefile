@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check vet build test race bench bench-smoke bench-json fuzz-smoke serve-smoke crash-smoke churn-smoke load-smoke advise-smoke accuracy-smoke loadgen-bench
+.PHONY: check vet build test perfbench-test race bench bench-smoke bench-json fuzz-smoke serve-smoke crash-smoke churn-smoke load-smoke advise-smoke accuracy-smoke loadgen-bench
 
 check: vet build race bench-smoke fuzz-smoke
 
@@ -18,6 +18,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The benchmark driver is its own module (perfbench/go.mod) and imports
+# internal packages such as internal/broker, so root `go test ./...` never
+# builds it: vet and test it separately.
+perfbench-test:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./...

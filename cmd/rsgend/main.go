@@ -11,7 +11,7 @@
 //	POST /v1/spec     {"dag": {...}, "options": {...}} → generated specification
 //	PUT  /v1/platform {"generate": {...}} → register a synthetic inventory
 //	GET  /v1/platform inventory summary + lease occupancy (404 before PUT)
-//	POST /v1/select   closed-loop selection: spec ladder → select → lease → bind
+//	POST /v1/select   closed-loop selection: spec ladder → select → bind → lease
 //	GET  /v1/select/{id}      session status: current lease, health, rebind history
 //	POST /v1/platform/events  {"events": [...]} → host churn / load / clock drift
 //	POST /v1/release  {"lease_id": "..."} → free a lease's hosts (reports rebinds)
@@ -117,15 +117,10 @@ func run(args []string) int {
 		slowReq     = fs.Duration("slow-request", time.Second, "log a warning with the span breakdown for requests at least this slow (0 disables)")
 		traceSize   = fs.Int("trace-entries", 256, "finished request traces held for /debug/traces")
 		mogaOn      = fs.Bool("moga", true, "register the multi-objective (NSGA-II) selection backend and mount POST /v1/advise")
+		cacheSize   = fs.Int("spec-cache-size", 1024, "response cache entries (LRU over rendered bodies)")
 	)
-	var cacheSize int
-	fs.IntVar(&cacheSize, "spec-cache-size", 1024, "response cache entries (LRU over rendered bodies)")
-	fs.IntVar(&cacheSize, "cache", 1024, "deprecated alias for -spec-cache-size")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	for _, warn := range deprecationWarnings(fs) {
-		fmt.Fprintln(os.Stderr, "rsgend: warning:", warn)
 	}
 	if *modelsPath == "" {
 		fmt.Fprintln(os.Stderr, "rsgend: -models <file> is required (train it with -train)")
@@ -239,7 +234,7 @@ func run(args []string) int {
 		Timeout:         *timeout,
 		MaxInflight:     *maxInflight,
 		MaxBatchMembers: *maxBatch,
-		CacheEntries:    cacheSize,
+		CacheEntries:    *cacheSize,
 		Workers:         *workers,
 		BaseCtx:         baseCtx,
 		Broker:          brk,
@@ -255,6 +250,10 @@ func run(args []string) int {
 		return 1
 	}
 
+	// Catch SIGINT/SIGTERM before the first request can be answered: a
+	// signal that lands just after serving starts must drain, not kill.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rsgend:", err)
@@ -293,8 +292,6 @@ func run(args []string) int {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		fmt.Fprintf(os.Stderr, "rsgend: %v: draining (budget %v)\n", sig, *drain)
@@ -331,20 +328,6 @@ func run(args []string) int {
 		}
 		return 0
 	}
-}
-
-// deprecationWarnings reports startup warnings for deprecated flag spellings
-// that were actually set on the command line. Visit (not Lookup) is the
-// discipline here: -cache and -spec-cache-size share one variable, so only
-// the set of explicitly-passed flags distinguishes them.
-func deprecationWarnings(fs *flag.FlagSet) []string {
-	var warns []string
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "cache" {
-			warns = append(warns, "flag -cache is deprecated; use -spec-cache-size")
-		}
-	})
-	return warns
 }
 
 // trainAndSave trains at the requested scale and writes the versioned

@@ -35,22 +35,8 @@ type Config struct {
 	// Generator is the trained specification generator (required): it
 	// renders the ladder of specs the broker walks.
 	Generator *spec.Generator
-	// SwordSeed seeds the synthetic SWORD directory built at inventory
-	// registration; 0 defaults to 1.
-	SwordSeed uint64
 	// LeaseTTL is the default host-lease lifetime; 0 defaults to 5m.
 	LeaseTTL time.Duration
-	// MaxBindWaitSeconds bounds the acceptable manager delay when binding;
-	// 0 defaults to 3600 (one hour of queue or reservation wait).
-	MaxBindWaitSeconds float64
-	// BindAttempts bounds bind retries per rung; 0 defaults to 3.
-	BindAttempts int
-	// BindBackoff is the first retry delay, doubling per attempt; 0
-	// defaults to 50ms.
-	BindBackoff time.Duration
-	// LeaseAttempts bounds re-selections after losing an acquisition race
-	// to a concurrent session; 0 defaults to 3.
-	LeaseAttempts int
 	// Workers bounds the evaluation pool used when computing alternative
 	// specifications; 0 uses all cores.
 	Workers int
@@ -68,24 +54,27 @@ type Config struct {
 	Store Store
 }
 
+// The lifecycle's fixed tuning.
+const (
+	// swordSeed seeds the synthetic SWORD directory built at inventory
+	// registration.
+	swordSeed = 1
+	// maxBindWaitSeconds bounds the acceptable manager delay when binding
+	// (one hour of queue or reservation wait); Request.MaxBindWaitSeconds
+	// overrides it per request.
+	maxBindWaitSeconds = 3600
+	// bindAttempts bounds bind retries per attempt; the first retry waits
+	// bindBackoff, doubling per retry.
+	bindAttempts = 3
+	bindBackoff  = 50 * time.Millisecond
+	// leaseAttempts bounds re-selections after losing an acquisition race
+	// to a concurrent session.
+	leaseAttempts = 3
+)
+
 func (c Config) withDefaults() Config {
-	if c.SwordSeed == 0 {
-		c.SwordSeed = 1
-	}
 	if c.LeaseTTL == 0 {
 		c.LeaseTTL = 5 * time.Minute
-	}
-	if c.MaxBindWaitSeconds == 0 {
-		c.MaxBindWaitSeconds = 3600
-	}
-	if c.BindAttempts == 0 {
-		c.BindAttempts = 3
-	}
-	if c.BindBackoff == 0 {
-		c.BindBackoff = 50 * time.Millisecond
-	}
-	if c.LeaseAttempts == 0 {
-		c.LeaseAttempts = 3
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -128,7 +117,7 @@ type inventory struct {
 }
 
 // Broker owns a registered inventory, the concurrent lease table over its
-// hosts, and the closed-loop select→lease→bind lifecycle. It is safe for
+// hosts, and the closed-loop select→bind→lease lifecycle. It is safe for
 // concurrent use.
 type Broker struct {
 	cfg     Config
@@ -168,7 +157,7 @@ func New(cfg Config) (*Broker, error) {
 		b.store = NewMemStore()
 	}
 	if rec := b.store.RecoveredInventory(); rec != nil {
-		inv, err := materialize(rec, b.cfg.SwordSeed, b.cfg.Moga)
+		inv, err := materialize(rec, b.cfg.Moga)
 		if err != nil {
 			return nil, fmt.Errorf("broker: recovered inventory: %w", err)
 		}
@@ -189,7 +178,7 @@ func New(cfg Config) (*Broker, error) {
 // materialize validates an inventory record and builds the derived
 // in-memory state (binding grid, selection backends) the store never
 // persists.
-func materialize(rec *InventoryRecord, swordSeed uint64, mogaCfg *moga.Config) (*inventory, error) {
+func materialize(rec *InventoryRecord, mogaCfg *moga.Config) (*inventory, error) {
 	p := rec.Platform
 	if p == nil {
 		return nil, errors.New("broker: inventory record has no platform")
@@ -200,7 +189,7 @@ func materialize(rec *InventoryRecord, swordSeed uint64, mogaCfg *moga.Config) (
 	if len(rec.Managers) != len(p.Clusters) {
 		return nil, fmt.Errorf("broker: record has %d managers, platform has %d clusters", len(rec.Managers), len(p.Clusters))
 	}
-	return &inventory{p: p, grid: rec.Grid(), selectors: newSelectors(p, swordSeed, mogaCfg)}, nil
+	return &inventory{p: p, grid: rec.Grid(), selectors: newSelectors(p, mogaCfg)}, nil
 }
 
 // RegisterInventory installs (or replaces) the resource pool the broker
@@ -217,7 +206,7 @@ func (b *Broker) RegisterInventory(p *platform.Platform, grid *bind.Grid) error 
 	if grid.NumClusters() != len(p.Clusters) {
 		return fmt.Errorf("broker: grid manages %d clusters, platform has %d", grid.NumClusters(), len(p.Clusters))
 	}
-	inv := &inventory{p: p, grid: grid, selectors: newSelectors(p, b.cfg.SwordSeed, b.cfg.Moga)}
+	inv := &inventory{p: p, grid: grid, selectors: newSelectors(p, b.cfg.Moga)}
 	// Persist first: if the store cannot make the registration durable the
 	// broker keeps serving the previous inventory.
 	if _, err := b.store.RegisterInventory(NewInventoryRecord(p, grid), b.cfg.Now()); err != nil {
@@ -532,19 +521,71 @@ type Outcome struct {
 }
 
 // Select runs the paper lifecycle for one request: generate the spec
-// ladder, then per rung and per backend select → lease → bind, falling to
+// ladder, then per rung and per backend select → bind → lease, falling to
 // the next backend/rung on failure. The error is ErrNoInventory,
 // ErrDraining, a generation error, the context's error, or an
 // *UnsatisfiableError carrying the full trace.
 func (b *Broker) Select(ctx context.Context, req Request) (*Outcome, error) {
+	b.metrics.inflight.Add(1)
+	defer b.metrics.inflight.Add(-1)
+	ttl := req.TTL
+	if ttl <= 0 {
+		ttl = b.cfg.LeaseTTL
+	}
+	out, err := b.walk(ctx, req, nil, commit{span: "lease", claim: func(hosts []platform.Host, now time.Time, meta LeaseMeta) (*Lease, error) {
+		return b.store.Acquire(hosts, ttl, now, meta)
+	}})
+	var unsat *UnsatisfiableError
+	switch {
+	case errors.Is(err, ErrDraining):
+		return nil, err // never admitted
+	case err == nil:
+		b.metrics.fallbackDepth(out.Rung)
+	case errors.As(err, &unsat):
+		b.metrics.unsatisfied.Add(1)
+	}
+	b.metrics.selections.Add(1)
+	return out, err
+}
+
+// Rebind transparently re-selects a live lease down its request's spec
+// ladder — the reconciler's path when a bound cluster is declared stalled.
+// It walks the same rung × backend lattice as Select, with the lease's own
+// hosts unmasked (they are candidates for the replacement), and commits by
+// atomically swapping the old lease (preserving its expiry) once a
+// replacement collection binds; the old lease stays intact until that swap,
+// so a failed rebind changes nothing. stalled is the caller's exclusion set
+// (typically the dead clusters' hosts) and is grown in place as bind
+// failures discover more stalled clusters. The error is ErrLeaseGone when
+// the lease was released or expired mid-rebind (the swap is then abandoned,
+// never applied late), ErrDraining, ErrNoInventory, the context's error, or
+// an *UnsatisfiableError carrying the full trace.
+func (b *Broker) Rebind(ctx context.Context, leaseID string, req Request, stalled map[platform.HostID]bool) (*Outcome, error) {
+	return b.walk(ctx, req, stalled, commit{span: "swap", old: leaseID, claim: func(hosts []platform.Host, now time.Time, meta LeaseMeta) (*Lease, error) {
+		return b.store.Swap(leaseID, hosts, now, meta)
+	}})
+}
+
+// commit is the last step of an attempt, claiming the bound collection's
+// hosts in the store: Select acquires a fresh lease, Rebind swaps out the
+// lease old. With old set, every attempt first looks the lease up (its
+// hosts leave the mask; a lease no longer held ends the walk with
+// ErrLeaseGone) and a successful swap records its rebound observation.
+type commit struct {
+	span  string // trace span: "lease" or "swap"
+	old   string // the lease Rebind replaces; "" for Select
+	claim func(hosts []platform.Host, now time.Time, meta LeaseMeta) (*Lease, error)
+}
+
+// walk is the lifecycle Select and Rebind share: generate the spec ladder,
+// then try every rung × backend pair in order until one attempt commits.
+// stalled (nil for a fresh map) is the request's mask of dead hosts.
+func (b *Broker) walk(ctx context.Context, req Request, stalled map[platform.HostID]bool, c commit) (*Outcome, error) {
 	if !b.enter() {
 		return nil, ErrDraining
 	}
 	defer b.inflight.Done()
-	defer b.flushExpired() // selections sweep inline; surface what they reclaimed
-	b.metrics.inflight.Add(1)
-	defer b.metrics.inflight.Add(-1)
-	b.metrics.selections.Add(1)
+	defer b.flushExpired() // attempts sweep inline; surface what they reclaimed
 
 	b.invMu.RLock()
 	inv := b.inv
@@ -567,14 +608,9 @@ func (b *Broker) Select(ctx context.Context, req Request) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	ttl := req.TTL
-	if ttl <= 0 {
-		ttl = b.cfg.LeaseTTL
-	}
 	maxWait := req.MaxBindWaitSeconds
 	if maxWait <= 0 {
-		maxWait = b.cfg.MaxBindWaitSeconds
+		maxWait = maxBindWaitSeconds
 	}
 
 	// stalled accumulates, per request, the hosts of clusters whose
@@ -582,18 +618,22 @@ func (b *Broker) Select(ctx context.Context, req Request) (*Outcome, error) {
 	// rebind loop routes every later attempt around them instead of
 	// re-selecting the same dead clusters. It is seeded with the hosts the
 	// reconciler's exclusion provider already knows to be dead.
-	stalled := make(map[platform.HostID]bool)
+	if stalled == nil {
+		stalled = make(map[platform.HostID]bool)
+	}
 	for h := range b.externalStalled() {
 		stalled[h] = true
 	}
 	var trace []RungAttempt
 	for rung, sp := range ladder {
 		for _, sel := range sels {
-			out, atts := b.tryRung(ctx, inv, req.Dag, rung, sp, sel, ttl, maxWait, stalled)
+			out, atts, err := b.tryRung(ctx, inv, req.Dag, rung, sp, sel, maxWait, stalled, c)
 			trace = append(trace, atts...)
+			if err != nil {
+				return nil, err
+			}
 			if out != nil {
 				out.Trace = trace
-				b.metrics.fallbackDepth(rung)
 				return out, nil
 			}
 			if err := ctx.Err(); err != nil {
@@ -601,7 +641,6 @@ func (b *Broker) Select(ctx context.Context, req Request) (*Outcome, error) {
 			}
 		}
 	}
-	b.metrics.unsatisfied.Add(1)
 	return nil, &UnsatisfiableError{Trace: trace}
 }
 
@@ -647,196 +686,49 @@ func (b *Broker) ladder(ctx context.Context, req Request) ([]*spec.Specification
 	return ladder, nil
 }
 
-// tryRung attempts one (rung, backend) pair: select with leased hosts
-// masked, acquire the lease, bind with bounded retry. Three failures restart
-// the loop instead of abandoning the rung: losing the acquisition race to a
-// concurrent session (bounded by LeaseAttempts), a bind refusal that stalls
-// new clusters — the Chapter VII rebind loop, which re-selects around the
-// stalled clusters and is bounded because every iteration must grow the
-// mask — and, for RungSelectors (moga), a bind refusal that taught the probe
-// nothing, which walks to the next rank of the selector's own Pareto front
-// (bounded because the front is finite and exhaustion is a selection
-// failure). A selection failure ends the rung: it is deterministic given the
-// mask and rank, so the caller moves on.
-func (b *Broker) tryRung(ctx context.Context, inv *inventory, d *dag.DAG, rung int, sp *spec.Specification, sel Selector, ttl time.Duration, maxWait float64, stalled map[platform.HostID]bool) (*Outcome, []RungAttempt) {
+// tryRung attempts one (rung, backend) pair: select with leased and stalled
+// hosts masked, bind with bounded retry, then commit. Binding comes before
+// the commit because it only reads manager state: a collection the managers
+// refuse is dropped without touching the lease table, where committing first
+// would take a lease (or, for a rebind, tear the old one down) only to give
+// it back. Three failures restart the loop instead of abandoning the rung:
+// losing the commit race to a concurrent session (bounded by
+// leaseAttempts), a bind refusal that stalls new clusters — the Chapter VII
+// rebind loop, which re-selects around the stalled clusters and is bounded
+// because every iteration must grow the mask — and, for RungSelectors
+// (moga), a bind refusal that taught the probe nothing, which walks to the
+// next rank of the selector's own Pareto front (bounded because the front
+// is finite and exhaustion is a selection failure). A selection failure
+// ends the rung: it is deterministic given the mask and rank, so the caller
+// moves on. A non-nil error ends the whole walk (ErrLeaseGone: the lease
+// being rebound vanished mid-flight).
+func (b *Broker) tryRung(ctx context.Context, inv *inventory, d *dag.DAG, rung int, sp *spec.Specification, sel Selector, maxWait float64, stalled map[platform.HostID]bool, c commit) (*Outcome, []RungAttempt, error) {
 	var atts []RungAttempt
-	leaseMisses := 0
-	rank := 0
-	rungSel, walksFront := sel.(RungSelector)
-	for {
-		att := RungAttempt{Rung: rung, ClockGHz: sp.MaxClockGHz, RCSize: sp.RCSize, Backend: sel.Name(), FrontRank: rank}
-		excluded := b.store.Leased(b.cfg.Now())
-		for h := range stalled {
-			excluded[h] = true
-		}
-		_, selSpan := obs.StartSpan(ctx, "select")
-		selSpan.SetDetail("rung=%d backend=%s rank=%d", rung, sel.Name(), rank)
-		var rc *platform.ResourceCollection
-		var err error
-		if walksFront {
-			rc, err = rungSel.SelectRung(ctx, d, sp, excluded, rank)
-		} else {
-			rc, err = sel.Select(sp, excluded)
-		}
-		selSpan.EndErr(err)
-		if err != nil {
-			att.Stage, att.Err = StageSelect, err.Error()
-			b.metrics.rungAttempt(sel.Name(), StageSelect)
-			return nil, append(atts, att)
-		}
-		_, leaseSpan := obs.StartSpan(ctx, "lease")
-		leaseSpan.SetDetail("rung=%d hosts=%d", rung, len(rc.Hosts))
-		lease, err := b.store.Acquire(rc.Hosts, ttl, b.cfg.Now(), leaseMeta(inv, d, sp, rc, rung, rank, sel.Name()))
-		leaseSpan.EndErr(err)
-		if err != nil {
-			att.Stage, att.Err = StageLease, err.Error()
-			b.metrics.rungAttempt(sel.Name(), StageLease)
-			atts = append(atts, att)
-			leaseMisses++
-			if leaseMisses >= b.cfg.LeaseAttempts {
-				return nil, atts
-			}
-			continue // a concurrent session won the race: re-select
-		}
-		bindCtx, bindSpan := obs.StartSpan(ctx, "bind")
-		bindSpan.SetDetail("rung=%d backend=%s", rung, sel.Name())
-		binding, err := b.bindWithRetry(bindCtx, inv.grid, rc, maxWait)
-		bindSpan.EndErr(err)
-		if err != nil {
-			b.store.Release(lease.ID, b.cfg.Now())
-			grew := b.markStalled(inv, rc, maxWait, stalled)
-			att.Stage, att.Err = StageBind, err.Error()
-			b.metrics.rungAttempt(sel.Name(), StageBind)
-			b.metrics.bindFailures.Add(1)
-			obs.LoggerFrom(ctx).Debug("bind failed",
-				"rung", rung, "backend", sel.Name(), "stalled_hosts", grew, "error", err)
-			atts = append(atts, att)
-			if grew > 0 && ctx.Err() == nil {
-				continue // route the re-selection around the stalled clusters
-			}
-			if walksFront && ctx.Err() == nil {
-				rank++ // the probe learned nothing: walk the Pareto front
-				continue
-			}
-			return nil, atts
-		}
-		att.Stage = StageBound
-		att.BindWaitSeconds = binding.AvailableAt
-		b.metrics.rungAttempt(sel.Name(), StageBound)
-		return &Outcome{
-			Lease:              lease,
-			Rung:               rung,
-			Backend:            sel.Name(),
-			Spec:               sp,
-			RC:                 rc,
-			Clusters:           countClusters(rc),
-			AvailableAtSeconds: binding.AvailableAt,
-		}, append(atts, att)
-	}
-}
-
-// Rebind transparently re-selects a live lease down its request's spec
-// ladder — the reconciler's path when a bound cluster is declared stalled.
-// It walks the same rung × backend lattice as Select, but instead of
-// acquiring a fresh lease it atomically swaps the old one (preserving its
-// expiry) once a replacement collection binds; the old lease stays intact
-// until that swap, so a failed rebind changes nothing. stalled is the
-// caller's exclusion set (typically the dead clusters' hosts) and is grown
-// in place as bind failures discover more stalled clusters. The error is
-// ErrLeaseGone when the lease was released or expired mid-rebind (the swap
-// is then abandoned, never applied late), ErrDraining, ErrNoInventory, the
-// context's error, or an *UnsatisfiableError carrying the full trace.
-func (b *Broker) Rebind(ctx context.Context, leaseID string, req Request, stalled map[platform.HostID]bool) (*Outcome, error) {
-	if !b.enter() {
-		return nil, ErrDraining
-	}
-	defer b.inflight.Done()
-	defer b.flushExpired()
-
-	b.invMu.RLock()
-	inv := b.inv
-	b.invMu.RUnlock()
-	if inv == nil {
-		return nil, ErrNoInventory
-	}
-	if req.Dag == nil {
-		return nil, errors.New("broker: request has no dag")
-	}
-	sels, err := inv.selectorsFor(req.Backends)
-	if err != nil {
-		return nil, err
-	}
-	if _, held := b.store.Lookup(leaseID, b.cfg.Now()); !held {
-		return nil, fmt.Errorf("%w: %s", ErrLeaseGone, leaseID)
-	}
-
-	genCtx, genSpan := obs.StartSpan(ctx, "generate")
-	ladder, err := b.ladder(genCtx, req)
-	genSpan.SetDetail("rungs=%d", len(ladder))
-	genSpan.EndErr(err)
-	if err != nil {
-		return nil, err
-	}
-	maxWait := req.MaxBindWaitSeconds
-	if maxWait <= 0 {
-		maxWait = b.cfg.MaxBindWaitSeconds
-	}
-	if stalled == nil {
-		stalled = make(map[platform.HostID]bool)
-	}
-	for h := range b.externalStalled() {
-		stalled[h] = true
-	}
-
-	var trace []RungAttempt
-	for rung, sp := range ladder {
-		for _, sel := range sels {
-			out, atts, err := b.tryRebindRung(ctx, inv, req.Dag, rung, sp, sel, leaseID, maxWait, stalled)
-			trace = append(trace, atts...)
-			if err != nil {
-				return nil, err
-			}
-			if out != nil {
-				out.Trace = trace
-				return out, nil
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return nil, &UnsatisfiableError{Trace: trace}
-}
-
-// tryRebindRung is tryRung for a rebind: the lease's own hosts are removed
-// from the exclusion mask (they are candidates for the replacement), the
-// collection binds *before* the swap — binding is a stateless feasibility
-// check against the managers, so discarding it when the swap fails is free,
-// while swapping first would tear down the old lease for a collection the
-// managers then refuse — and the acquisition is an atomic Swap preserving
-// the old expiry. A non-nil error is terminal for the whole rebind
-// (ErrLeaseGone: the lease vanished mid-flight).
-func (b *Broker) tryRebindRung(ctx context.Context, inv *inventory, d *dag.DAG, rung int, sp *spec.Specification, sel Selector, leaseID string, maxWait float64, stalled map[platform.HostID]bool) (*Outcome, []RungAttempt, error) {
-	var atts []RungAttempt
-	swapMisses := 0
-	rank := 0
+	misses, rank := 0, 0
 	rungSel, walksFront := sel.(RungSelector)
 	for {
 		att := RungAttempt{Rung: rung, ClockGHz: sp.MaxClockGHz, RCSize: sp.RCSize, Backend: sel.Name(), FrontRank: rank}
 		now := b.cfg.Now()
-		own, held := b.store.Lookup(leaseID, now)
-		if !held {
-			return nil, atts, fmt.Errorf("%w: %s", ErrLeaseGone, leaseID)
-		}
 		excluded := b.store.Leased(now)
-		for _, h := range own.Hosts {
-			delete(excluded, h)
+		var own Lease
+		if c.old != "" {
+			var held bool
+			if own, held = b.store.Lookup(c.old, now); !held {
+				return nil, atts, fmt.Errorf("%w: %s", ErrLeaseGone, c.old)
+			}
+			for _, h := range own.Hosts {
+				delete(excluded, h)
+			}
 		}
 		for h := range stalled {
 			excluded[h] = true
 		}
 		_, selSpan := obs.StartSpan(ctx, "select")
-		selSpan.SetDetail("rung=%d backend=%s rank=%d rebind=%s", rung, sel.Name(), rank, leaseID)
+		if c.old == "" {
+			selSpan.SetDetail("rung=%d backend=%s rank=%d", rung, sel.Name(), rank)
+		} else {
+			selSpan.SetDetail("rung=%d backend=%s rank=%d rebind=%s", rung, sel.Name(), rank, c.old)
+		}
 		var rc *platform.ResourceCollection
 		var err error
 		if walksFront {
@@ -852,18 +744,18 @@ func (b *Broker) tryRebindRung(ctx context.Context, inv *inventory, d *dag.DAG, 
 		}
 		bindCtx, bindSpan := obs.StartSpan(ctx, "bind")
 		bindSpan.SetDetail("rung=%d backend=%s", rung, sel.Name())
-		binding, err := b.bindWithRetry(bindCtx, inv.grid, rc, maxWait)
+		binding, err := bindWithRetry(bindCtx, inv.grid, rc, maxWait)
 		bindSpan.EndErr(err)
 		if err != nil {
 			grew := b.markStalled(inv, rc, maxWait, stalled)
 			att.Stage, att.Err = StageBind, err.Error()
 			b.metrics.rungAttempt(sel.Name(), StageBind)
 			b.metrics.bindFailures.Add(1)
-			obs.LoggerFrom(ctx).Debug("rebind bind failed",
-				"lease_id", leaseID, "rung", rung, "backend", sel.Name(), "stalled_hosts", grew, "error", err)
+			obs.LoggerFrom(ctx).Debug("bind failed",
+				"rung", rung, "backend", sel.Name(), "rebind", c.old, "stalled_hosts", grew, "error", err)
 			atts = append(atts, att)
 			if grew > 0 && ctx.Err() == nil {
-				continue
+				continue // route the re-selection around the stalled clusters
 			}
 			if walksFront && ctx.Err() == nil {
 				rank++ // the probe learned nothing: walk the Pareto front
@@ -871,10 +763,15 @@ func (b *Broker) tryRebindRung(ctx context.Context, inv *inventory, d *dag.DAG, 
 			}
 			return nil, atts, nil
 		}
-		_, swapSpan := obs.StartSpan(ctx, "swap")
-		swapSpan.SetDetail("old=%s rung=%d hosts=%d", leaseID, rung, len(rc.Hosts))
-		lease, err := b.store.Swap(leaseID, rc.Hosts, now, leaseMeta(inv, d, sp, rc, rung, rank, sel.Name()))
-		swapSpan.EndErr(err)
+		_, commitSpan := obs.StartSpan(ctx, c.span)
+		if c.old == "" {
+			commitSpan.SetDetail("rung=%d hosts=%d", rung, len(rc.Hosts))
+		} else {
+			commitSpan.SetDetail("old=%s rung=%d hosts=%d", c.old, rung, len(rc.Hosts))
+		}
+		now = b.cfg.Now()
+		lease, err := c.claim(rc.Hosts, now, leaseMeta(inv, d, sp, rc, rung, rank, sel.Name()))
+		commitSpan.EndErr(err)
 		if err != nil {
 			att.Stage, att.Err = StageLease, err.Error()
 			b.metrics.rungAttempt(sel.Name(), StageLease)
@@ -882,17 +779,17 @@ func (b *Broker) tryRebindRung(ctx context.Context, inv *inventory, d *dag.DAG, 
 			if errors.Is(err, ErrLeaseGone) {
 				return nil, atts, err
 			}
-			swapMisses++
-			if swapMisses >= b.cfg.LeaseAttempts {
+			if misses++; misses >= leaseAttempts {
 				return nil, atts, nil
 			}
-			continue // a concurrent session grabbed a candidate host: re-select
+			continue // a concurrent session won the race: re-select
 		}
-		// The swap retired the old lease: close its segment in the flight
-		// recorder. The replacement lease's own observation comes when it
-		// ends in turn.
-		b.emitObservation(observe(&own, obs.EndRebound, obs.TraceIDFrom(ctx), now, 0))
-		b.flushExpired()
+		if c.old != "" {
+			// The swap retired the old lease: close its segment in the
+			// flight recorder. The replacement's own observation comes when
+			// it ends in turn.
+			b.emitObservation(observe(&own, obs.EndRebound, obs.TraceIDFrom(ctx), now, 0))
+		}
 		att.Stage = StageBound
 		att.BindWaitSeconds = binding.AvailableAt
 		b.metrics.rungAttempt(sel.Name(), StageBound)
@@ -910,12 +807,12 @@ func (b *Broker) tryRebindRung(ctx context.Context, inv *inventory, d *dag.DAG, 
 
 // bindWithRetry binds the collection with exponential backoff: manager
 // state can change between attempts (operators repoint managers at
-// runtime), so transient refusals get BindAttempts chances before the rung
+// runtime), so transient refusals get bindAttempts chances before the rung
 // is abandoned.
-func (b *Broker) bindWithRetry(ctx context.Context, grid *bind.Grid, rc *platform.ResourceCollection, maxWait float64) (*bind.Binding, error) {
-	backoff := b.cfg.BindBackoff
+func bindWithRetry(ctx context.Context, grid *bind.Grid, rc *platform.ResourceCollection, maxWait float64) (*bind.Binding, error) {
+	backoff := bindBackoff
 	var lastErr error
-	for attempt := 0; attempt < b.cfg.BindAttempts; attempt++ {
+	for attempt := 0; attempt < bindAttempts; attempt++ {
 		if attempt > 0 {
 			t := time.NewTimer(backoff)
 			select {
@@ -932,7 +829,7 @@ func (b *Broker) bindWithRetry(ctx context.Context, grid *bind.Grid, rc *platfor
 		}
 		lastErr = err
 	}
-	return nil, fmt.Errorf("bind failed after %d attempts: %w", b.cfg.BindAttempts, lastErr)
+	return nil, fmt.Errorf("bind failed after %d attempts: %w", bindAttempts, lastErr)
 }
 
 // markStalled probes the failed collection's clusters and masks every host

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -197,6 +198,80 @@ func TestSelectRoutesAroundStalledClusters(t *testing.T) {
 	}
 	if b.Metrics().bindFailures.Load() == 0 {
 		t.Error("bind failure counter never moved")
+	}
+}
+
+// countingStore counts the lease-table writes a selection makes.
+type countingStore struct {
+	Store
+	acquires, releases atomic.Int32
+}
+
+func (s *countingStore) Acquire(hosts []platform.Host, ttl time.Duration, now time.Time, meta LeaseMeta) (*Lease, error) {
+	s.acquires.Add(1)
+	return s.Store.Acquire(hosts, ttl, now, meta)
+}
+
+func (s *countingStore) Release(id string, now time.Time) bool {
+	s.releases.Add(1)
+	return s.Store.Release(id, now)
+}
+
+// refuseClusters gives every cluster of rc a reservation manager whose next
+// slot lies far beyond the bind-wait bound, so binding rc fails.
+func refuseClusters(grid *bind.Grid, rc *platform.ResourceCollection) {
+	for _, h := range rc.Hosts {
+		grid.SetManager(bind.Manager{Cluster: h.Cluster, Discipline: bind.Reservation, NextSlot: 1e6})
+	}
+}
+
+func stages(trace []RungAttempt) []string {
+	out := make([]string, len(trace))
+	for i, a := range trace {
+		out[i] = a.Stage
+	}
+	return out
+}
+
+// TestSelectBindsBeforeLeasing pins the attempt order select → bind →
+// lease: a first pick the managers refuse never reaches the lease table, so
+// the re-selection around the stalled clusters acquires the only lease.
+func TestSelectBindsBeforeLeasing(t *testing.T) {
+	req := Request{Dag: testDAG(t), Options: spec.Options{ClockGHz: 2.0}}
+	// An unobstructed broker over the same platform shows the first pick.
+	probe, _, _ := newTestBroker(t, nil)
+	first, err := probe.Select(context.Background(), req)
+	if err != nil {
+		t.Fatalf("probe Select: %v", err)
+	}
+
+	store := &countingStore{Store: NewMemStore()}
+	b, p, grid := newTestBroker(t, func(c *Config) { c.Store = store })
+	refuseClusters(grid, first.RC)
+	out, err := b.Select(context.Background(), req)
+	if err != nil {
+		t.Fatalf("Select: %v", err)
+	}
+	if got, want := strings.Join(stages(out.Trace), ","), "bind,bound"; got != want {
+		t.Errorf("trace stages %s, want %s", got, want)
+	}
+	if n := store.acquires.Load(); n != 1 {
+		t.Errorf("%d Acquire calls, want 1: a refused collection must not be leased", n)
+	}
+	if n := store.releases.Load(); n != 0 {
+		t.Errorf("%d Release calls, want 0", n)
+	}
+	if out.Lease.ID != "lease-00000001" {
+		t.Errorf("lease ID %s, want lease-00000001: no ID may burn on a refused bind", out.Lease.ID)
+	}
+	refused := make(map[int]bool)
+	for _, h := range first.RC.Hosts {
+		refused[h.Cluster] = true
+	}
+	for _, id := range out.Lease.Hosts {
+		if refused[p.Host(id).Cluster] {
+			t.Errorf("host %d belongs to a refusing cluster", id)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"rsgen/internal/obs"
 )
 
-// Stage labels where in the select→lease→bind lifecycle a rung attempt
+// Stage labels where in the select→bind→lease lifecycle a rung attempt
 // ended.
 const (
 	StageSelect = "select" // the backend could not satisfy the spec

@@ -20,7 +20,7 @@ func TestExclusionParity(t *testing.T) {
 	}
 	// A roomy platform so a second disjoint collection always exists.
 	p := platform.MustGenerate(platform.GenSpec{Clusters: 24, Year: 2006}, xrand.New(5))
-	sels := newSelectors(p, 1, &moga.Config{})
+	sels := newSelectors(p, &moga.Config{})
 	sp, err := gen.Generate(testDAG(t), spec.Options{ClockGHz: 2.0})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
@@ -71,7 +71,7 @@ func TestExclusionExhaustsPool(t *testing.T) {
 		t.Fatalf("training test generator: %v", err)
 	}
 	p := platform.MustGenerate(platform.GenSpec{Clusters: 8, Year: 2006}, xrand.New(5))
-	sels := newSelectors(p, 1, &moga.Config{})
+	sels := newSelectors(p, &moga.Config{})
 	sp, err := gen.Generate(testDAG(t), spec.Options{ClockGHz: 2.0})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)

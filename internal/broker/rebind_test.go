@@ -3,6 +3,7 @@ package broker
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -73,7 +74,7 @@ func TestMemStoreSwap(t *testing.T) {
 }
 
 func TestRebindSwapsDownTheLadder(t *testing.T) {
-	b, p, _ := newTestBroker(t, nil)
+	b, p, grid := newTestBroker(t, nil)
 	out, err := b.Select(context.Background(), Request{
 		Dag:                  testDAG(t),
 		Options:              spec.Options{ClockGHz: 3.0},
@@ -132,6 +133,26 @@ func TestRebindSwapsDownTheLadder(t *testing.T) {
 	// Rebinding the now-gone origin reports ErrLeaseGone.
 	if _, err := b.Rebind(context.Background(), origin, Request{Dag: testDAG(t)}, nil); !errors.Is(err, ErrLeaseGone) {
 		t.Errorf("rebind of swapped-away lease: err = %v, want ErrLeaseGone", err)
+	}
+
+	// A rebind whose first pick the managers refuse walks the same stages
+	// as a Select meeting that refusal: bind, then bound around it.
+	req := Request{Dag: testDAG(t), Options: spec.Options{ClockGHz: 2.0}}
+	held, err := b.Select(context.Background(), req)
+	if err != nil {
+		t.Fatalf("Select: %v", err)
+	}
+	refuseClusters(grid, held.RC)
+	moved, err := b.Rebind(context.Background(), held.Lease.ID, req, nil)
+	if err != nil {
+		t.Fatalf("Rebind around a refusing manager: %v", err)
+	}
+	fresh, err := b.Select(context.Background(), req)
+	if err != nil {
+		t.Fatalf("Select around a refusing manager: %v", err)
+	}
+	if got, want := strings.Join(stages(moved.Trace), ","), strings.Join(stages(fresh.Trace), ","); got != want || got != "bind,bound" {
+		t.Errorf("rebind stages %s, select stages %s, want both bind,bound", got, want)
 	}
 }
 

@@ -36,7 +36,7 @@ var BackendNames = []string{"vgdl", "classad", "sword"}
 // are O(hosts) to build and immutable afterwards, so concurrent selections
 // share them and only the per-call exclusion mask differs. When mogaCfg is
 // non-nil the multi-objective backend is registered too.
-func newSelectors(p *platform.Platform, swordSeed uint64, mogaCfg *moga.Config) map[string]Selector {
+func newSelectors(p *platform.Platform, mogaCfg *moga.Config) map[string]Selector {
 	sels := map[string]Selector{
 		"vgdl":    &vgdlSelector{p: p},
 		"classad": newClassAdSelector(p),

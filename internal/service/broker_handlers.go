@@ -2,7 +2,7 @@
 //
 //   - PUT  /v1/platform — generate and register a synthetic inventory
 //   - GET  /v1/platform — inventory summary plus lease occupancy
-//   - POST /v1/select   — run the spec ladder: select → lease → bind
+//   - POST /v1/select   — run the spec ladder: select → bind → lease
 //   - POST /v1/release  — free a lease's hosts
 //
 // Status mapping: 412 when no inventory is registered, 409 (with the full
@@ -86,7 +86,7 @@ func decodeSelectRequest(data []byte) (*SelectRequest, *dag.DAG, error) {
 	return &req, d, nil
 }
 
-// handleSelect is POST /v1/select: the full generate→select→lease→bind
+// handleSelect is POST /v1/select: the full generate→select→bind→lease
 // lifecycle. Unlike /v1/spec it is never cached or deduplicated — every call
 // mutates the lease table.
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {

@@ -45,6 +45,7 @@ import (
 
 	"rsgen/internal/broker"
 	"rsgen/internal/dag"
+	"rsgen/internal/eval"
 	"rsgen/internal/knee"
 	"rsgen/internal/moga"
 	"rsgen/internal/obs"
@@ -155,7 +156,7 @@ type Server struct {
 	cfg      Config
 	mux      *http.ServeMux
 	cache    *responseCache
-	flight   *flightGroup
+	flight   eval.Flight[string, []byte]
 	metrics  *metrics
 	reg      *obs.Registry
 	ring     *obs.Ring
@@ -199,7 +200,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
 		cache:    cache,
-		flight:   newFlightGroup(),
 		metrics:  m,
 		reg:      reg,
 		ring:     obs.NewRing(cfg.TraceEntries),
@@ -553,7 +553,7 @@ func (s *Server) resolveSpec(rctx context.Context, d *dag.DAG, o SpecOptions) (b
 	// leader computes under the server's context (so one client
 	// disconnecting cannot fail the rest), followers wait for the shared
 	// bytes.
-	call, leader := s.flight.join(key)
+	call, leader := s.flight.Join(key)
 	if leader {
 		body, err := s.computeResponse(rctx, nd, o)
 		if err == nil {
@@ -562,7 +562,7 @@ func (s *Server) resolveSpec(rctx context.Context, d *dag.DAG, o SpecOptions) (b
 				s.cache.Put(exact, body)
 			}
 		}
-		s.flight.finish(key, call, body, err)
+		s.flight.Finish(key, call, body, err)
 		return body, srcComputed, err
 	}
 	source = srcShared
@@ -573,15 +573,13 @@ func (s *Server) resolveSpec(rctx context.Context, d *dag.DAG, o SpecOptions) (b
 		s.metrics.dedupShared.Inc()
 	}
 	_, awaitSpan := obs.StartSpan(rctx, "await")
-	select {
-	case <-call.done:
-		awaitSpan.End()
-	case <-rctx.Done():
-		awaitSpan.EndErr(rctx.Err())
-		return nil, source, fmt.Errorf("%w: %v", errAbandoned, rctx.Err())
+	shared, ok, err := call.Wait(rctx)
+	awaitSpan.EndErr(err)
+	if err != nil {
+		return nil, source, fmt.Errorf("%w: %v", errAbandoned, err)
 	}
-	if call.err == nil {
-		return call.body, source, nil
+	if ok {
+		return shared, source, nil
 	}
 	// The leader failed — possibly for a reason particular to its own run
 	// (deadline hit under load). Fall back to an independent evaluation so
